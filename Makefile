@@ -1,12 +1,15 @@
 # Tier-1 verification gate (referenced from ROADMAP.md): gofmt
 # cleanliness, vet, build, and the full test suite under the race
-# detector. CI and pre-merge checks run `make verify`.
-.PHONY: verify fmtcheck build test race bench cover fuzz-smoke serve snapshot snapshot-smoke shard-smoke journal-smoke rebalance-smoke load-smoke write-smoke replica-smoke trace-smoke slo-check compact rebalance
+# detector. CI and pre-merge checks run `make verify`. The nested
+# fleetbench module is vetted and tested too — the root ./... does not
+# enter it, and an API break there must fail here, not at benchmark time.
+.PHONY: verify fmtcheck build test race bench cover fuzz-smoke serve snapshot snapshot-smoke shard-smoke journal-smoke rebalance-smoke load-smoke write-smoke replica-smoke trace-smoke slo-check fleetbench compact rebalance
 
 verify: fmtcheck
 	go vet ./...
 	go build ./...
 	go test -race ./...
+	cd fleetbench && go vet ./... && go test ./...
 
 # Coverage floor: internal/core + internal/snapshot + internal/journal +
 # internal/fleet own the correctness contracts (byte-identical serving,
@@ -124,7 +127,15 @@ trace-smoke:
 # the warnings next to the diff that caused them.
 slo-check:
 	go run ./cmd/benchall -quick -baseline BENCH_baseline.json \
-		-skip table3,table4,table5,table6,table7,table8,figure7,figure8,appendixB,appendixC,concurrency,persistence,sharding,rebalance,replication,replicaops,groupcommit
+		-skip table3,table4,table5,table6,table7,table8,figure7,figure8,appendixB,appendixC,concurrency,persistence,sharding,rebalance,replication,replicaops
+
+# Fleet benchmark: one BENCHMARK.json workload, built from this checkout
+# and run open-loop against an in-process fleet (see fleetbench/README.md):
+#   make fleetbench W=write_mix SEED=2
+W := read_hot
+SEED := 1
+fleetbench:
+	bash fleetbench/run.sh --workload $(W) --seed $(SEED) --seconds 24
 
 # Fold a served snapshot's review journal back into a fresh artifact:
 #   make compact SNAP=opinedb.snap     (or SNAP=hotel.manifest.json)

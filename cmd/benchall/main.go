@@ -26,7 +26,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "reduced corpus and trial counts (~10x faster)")
 	seed := flag.Int64("seed", 1, "master random seed")
-	skip := flag.String("skip", "", "comma-separated experiments to skip (table3..table8,figure7,figure8,appendixB,appendixC,concurrency,persistence,sharding,rebalance,load,replication,replicaops,groupcommit)")
+	skip := flag.String("skip", "", "comma-separated experiments to skip (table3..table8,figure7,figure8,appendixB,appendixC,concurrency,persistence,sharding,rebalance,load,replication,replicaops)")
 	baseline := flag.String("baseline", "", "compare the load experiment's SLOs against this committed baseline JSON (BENCH_baseline.json) and WARN on regressions — advisory only, never fails the run (shared CI machines are too noisy for a hard latency gate)")
 	flag.Parse()
 
@@ -180,19 +180,6 @@ func main() {
 				log.Printf("BENCH_replicaops.json: %v", err)
 			} else {
 				fmt.Println("wrote BENCH_replicaops.json")
-			}
-		}
-	}
-
-	if run("groupcommit") {
-		fmt.Println("running groupcommit (shared-fsync write pipeline vs serialized seed path)...")
-		gcRes := harness.RunGroupCommit(context.Background(), *seed+1200)
-		fmt.Println(harness.FormatGroupCommit(gcRes))
-		if data, err := json.MarshalIndent(gcRes, "", "  "); err == nil {
-			if err := os.WriteFile("BENCH_groupcommit.json", data, 0o644); err != nil {
-				log.Printf("BENCH_groupcommit.json: %v", err)
-			} else {
-				fmt.Println("wrote BENCH_groupcommit.json")
 			}
 		}
 	}

@@ -75,11 +75,7 @@ func runRebalanceSmoke(seed int64) {
 				Ingest: &server.IngestOptions{
 					AcceptUnowned: true,
 					JournalDir:    jdir,
-					Append: func(rv core.ReviewData) (uint64, error) {
-						return j.Append(journal.Review{
-							ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-						})
-					},
+					AppendBatch:   server.JournalAppendBatch(j),
 				},
 			}),
 			FirstEntity: manifest.Shard[i].FirstEntity,
@@ -103,6 +99,9 @@ func runRebalanceSmoke(seed int64) {
 		}
 		if res.Partial {
 			log.Fatalf("rebalance-smoke: write %s was partial: %+v", rv.ID, res.ShardErrors)
+		}
+		if !res.Durable {
+			log.Fatalf("rebalance-smoke: write %s acked without durability", rv.ID)
 		}
 	}
 	for _, j := range journals {

@@ -187,11 +187,7 @@ func serveFleet(t *testing.T, manifestPath string, opts router.Options) (*snapsh
 				AcceptUnowned:  true,
 				JournalDir:     jdir,
 				JournalLastSeq: st.LastSeq,
-				Append: func(rv core.ReviewData) (uint64, error) {
-					return j.Append(journal.Review{
-						ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-					})
-				},
+				AppendBatch:    server.JournalAppendBatch(j),
 			},
 		})
 		nodes[i] = &liveShard{db: db, journal: j, backend: backend}

@@ -44,11 +44,7 @@ func newJoiner(t *testing.T, manifestPath string, m *snapshot.Manifest, index in
 			AcceptUnowned:  true,
 			JournalDir:     jdir,
 			JournalLastSeq: st.LastSeq,
-			Append: func(rv core.ReviewData) (uint64, error) {
-				return j.Append(journal.Review{
-					ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-				})
-			},
+			AppendBatch:    server.JournalAppendBatch(j),
 		},
 	})
 	t.Cleanup(func() { _ = j.Close() })

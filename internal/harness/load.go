@@ -151,39 +151,10 @@ func HandlerLoadTarget(h http.Handler) LoadTarget {
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
-		rec := newRecorder()
+		rec := server.NewResponseBuffer()
 		h.ServeHTTP(rec, req)
-		return rec.status(), rec.buf.Bytes(), nil
+		return rec.Status(), rec.Bytes(), nil
 	}
-}
-
-// recorder is a minimal in-memory http.ResponseWriter (the harness
-// cannot import httptest outside tests).
-type recorder struct {
-	header http.Header
-	code   int
-	buf    bytes.Buffer
-}
-
-func newRecorder() *recorder { return &recorder{header: http.Header{}} }
-
-func (r *recorder) Header() http.Header { return r.header }
-func (r *recorder) WriteHeader(c int) {
-	if r.code == 0 {
-		r.code = c
-	}
-}
-func (r *recorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return r.buf.Write(b)
-}
-func (r *recorder) status() int {
-	if r.code == 0 {
-		return http.StatusOK
-	}
-	return r.code
 }
 
 // loadVocabulary is the request vocabulary a run draws from.
@@ -478,9 +449,6 @@ type LoadFleetOptions struct {
 	// WrapBackend, when non-nil, wraps each node's backend after any
 	// SlowReplica delay — the kill-switch seam the replica smoke uses.
 	WrapBackend func(shard, replica int, b router.Backend) router.Backend
-	// DisableGroupCommit serializes each node's write path — the control
-	// arm of the group-commit A/B.
-	DisableGroupCommit bool
 	// Trace, when non-nil, builds the fleet with request tracing: one
 	// shared collector wired into the router and every shard server. The
 	// collector's sampler RNG is its own (never the router's pick RNG), so
@@ -554,7 +522,6 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 			return server.Options{}
 		}
 		j, jerr := journal.Open(jdir, journal.Options{
-			SyncEvery:    1,
 			SyncObserver: server.FsyncObserver(reg),
 		})
 		if jerr != nil {
@@ -572,24 +539,7 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 				AcceptUnowned:  true,
 				JournalDir:     jdir,
 				JournalLastSeq: j.NextSeq() - 1,
-				Append: func(rv core.ReviewData) (uint64, error) {
-					return j.Append(journal.Review{
-						ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer,
-						Day: rv.Day, Text: rv.Text,
-					})
-				},
-				AppendBatch: func(rvs []core.ReviewData) (uint64, error) {
-					batch := make([]journal.Review, len(rvs))
-					for i, rv := range rvs {
-						batch[i] = journal.Review{
-							ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer,
-							Day: rv.Day, Text: rv.Text,
-						}
-					}
-					return j.AppendBatch(batch)
-				},
-				AppendDurable:      true, // SyncEvery: 1 above
-				DisableGroupCommit: opts.DisableGroupCommit,
+				AppendBatch:    server.JournalAppendBatch(j),
 			},
 		}
 	}

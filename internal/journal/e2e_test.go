@@ -248,23 +248,18 @@ func TestTornTailLosesOnlyTheTail(t *testing.T) {
 // goroutines against /query and /topk readers on one daemon under -race,
 // then proves the journal captured the server's serialized write order:
 // a fresh snapshot+journal load fingerprints byte-identically to the
-// live, concurrently mutated database — regardless of fsync batch size.
+// live, concurrently mutated database. Small segments make concurrent
+// commit batches roll segment files mid-run.
 func TestConcurrentIngestReplayDeterminism(t *testing.T) {
 	d, _, snap := e2eFixture(t)
 	db := loadBase(t, snap)
 	jdir := filepath.Join(t.TempDir(), "ingest.journal")
-	j, err := journal.Open(jdir, journal.Options{SyncEvery: 3, SegmentMaxBytes: 4 << 10})
+	j, err := journal.Open(jdir, journal.Options{SegmentMaxBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(server.New(db, server.Options{
-		Ingest: &server.IngestOptions{
-			Append: func(rv core.ReviewData) (uint64, error) {
-				return j.Append(journal.Review{
-					ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-				})
-			},
-		},
+		Ingest: &server.IngestOptions{AppendBatch: server.JournalAppendBatch(j)},
 	}))
 	defer srv.Close()
 

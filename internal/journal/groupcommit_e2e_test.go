@@ -34,18 +34,7 @@ import (
 // batchIngest returns IngestOptions whose AppendBatch feeds j — the
 // group-commit pipeline's canonical wiring (one fsync per batch).
 func batchIngest(j *journal.Journal) *server.IngestOptions {
-	return &server.IngestOptions{
-		AppendBatch: func(rvs []core.ReviewData) (uint64, error) {
-			batch := make([]journal.Review, len(rvs))
-			for i, rv := range rvs {
-				batch[i] = journal.Review{
-					ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer,
-					Day: rv.Day, Text: rv.Text,
-				}
-			}
-			return j.AppendBatch(batch)
-		},
-	}
+	return &server.IngestOptions{AppendBatch: server.JournalAppendBatch(j)}
 }
 
 // postReview posts one review and decodes the ack (or the error body).

@@ -161,11 +161,7 @@ func serveShardWithJournal(index int) (*httptest.Server, error) {
 	return httptest.NewServer(server.New(db, server.Options{
 		Ingest: &server.IngestOptions{
 			AcceptUnowned: true,
-			Append: func(rv core.ReviewData) (uint64, error) {
-				return j.Append(journal.Review{
-					ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-				})
-			},
+			AppendBatch:   server.JournalAppendBatch(j),
 		},
 	})), nil
 }
@@ -233,6 +229,9 @@ func TestShardedIngestion(t *testing.T) {
 			}
 			if ack.Replicated != ingestShards-1 || ack.Partial {
 				t.Fatalf("write %s: replicated %d partial=%v", rv.ID, ack.Replicated, ack.Partial)
+			}
+			if !ack.Durable || ack.Seq == 0 {
+				t.Fatalf("write %s: journaled shard acked durable=%v seq=%d", rv.ID, ack.Durable, ack.Seq)
 			}
 		}
 	})

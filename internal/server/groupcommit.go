@@ -90,9 +90,10 @@ func (q *commitQueue) stage(cr *commitRequest) (ok, lead bool, n int) {
 	return true, false, len(q.staged)
 }
 
-// handleReviewGrouped is the group-commit write path: prepare outside
-// every lock, stage, commit (as leader or waiter), respond.
-func (s *Server) handleReviewGrouped(w http.ResponseWriter, ctx context.Context, req ReviewRequest, rv core.ReviewData) {
+// ingest runs one write through the pipeline: prepare outside every
+// lock, stage, commit (as leader or waiter), respond. replica marks a
+// router fan-out copy (ReviewRequest.Replica).
+func (s *Server) ingest(w http.ResponseWriter, ctx context.Context, replica bool, rv core.ReviewData) {
 	_, prepSpan := s.opts.Trace.Start(ctx, "commit.prepare")
 	p, err := s.db.PrepareReview(rv)
 	if err != nil {
@@ -104,7 +105,7 @@ func (s *Server) handleReviewGrouped(w http.ResponseWriter, ctx context.Context,
 	prepSpan.End()
 	cr := &commitRequest{
 		prepared: p,
-		replica:  req.Replica,
+		replica:  replica,
 		staged:   time.Now(),
 		done:     make(chan struct{}),
 		lead:     make(chan struct{}),
@@ -233,13 +234,9 @@ func (s *Server) commitBatch(ctx context.Context, batch []*commitRequest) {
 		return
 	}
 
-	// Journal the accepted deltas: one AppendBatch, one fsync. The
-	// per-record fallback exists for configurations that only wire
-	// Append; a failure there fails the unjournaled remainder while the
-	// already-journaled prefix still folds (it is durable and must be
-	// served — replay would apply it anyway).
+	// Journal the accepted deltas: one AppendBatch, one fsync. Without a
+	// journal the batch is volatile: seq 0, not durable.
 	var firstSeq uint64
-	durable := false
 	if ing.AppendBatch != nil {
 		rvs := make([]core.ReviewData, len(accepted))
 		for i, cr := range accepted {
@@ -260,35 +257,9 @@ func (s *Server) commitBatch(ctx context.Context, batch []*commitRequest) {
 			return
 		}
 		jSpan.End()
-		firstSeq, durable = seq, true
-	} else if ing.Append != nil {
-		_, jSpan := s.opts.Trace.Start(ctx, "commit.journal")
-		jSpan.SetAttr("batch_size", strconv.Itoa(len(accepted)))
-		t0 := time.Now()
-		journaled := accepted[:0]
-		for i, cr := range accepted {
-			seq, err := ing.Append(cr.prepared.Review())
-			if err != nil {
-				jSpan.SetError(err.Error())
-				for _, c := range accepted[i:] {
-					c.status = http.StatusInternalServerError
-					c.errMsg = fmt.Sprintf("journal append: %v", err)
-				}
-				break
-			}
-			if i == 0 {
-				firstSeq = seq
-			}
-			journaled = append(journaled, cr)
-		}
-		s.metrics.journalAppend.ObserveSince(t0)
-		jSpan.End()
-		durable = ing.AppendDurable
-		accepted, owned = journaled, owned[:len(journaled)]
-		if len(accepted) == 0 {
-			return
-		}
+		firstSeq = seq
 	}
+	durable := ing.AppendBatch != nil
 
 	// The chain mirrors the journal, not the applied state, so it
 	// advances before the fold. PrefixHashes locks internally, so

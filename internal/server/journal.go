@@ -15,8 +15,28 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/core"
 	"repro/internal/journal"
 )
+
+// JournalAppendBatch adapts a journal to IngestOptions.AppendBatch: each
+// commit batch lands as one journal.Journal.AppendBatch — in order,
+// atomically, under one fsync — so every ack it backs is durable.
+func JournalAppendBatch(j *journal.Journal) func([]core.ReviewData) (uint64, error) {
+	return func(rvs []core.ReviewData) (uint64, error) {
+		batch := make([]journal.Review, len(rvs))
+		for i, rv := range rvs {
+			batch[i] = journalReview(rv)
+		}
+		return j.AppendBatch(batch)
+	}
+}
+
+// journalReview converts an engine review delta to the journal's own
+// record format.
+func journalReview(rv core.ReviewData) journal.Review {
+	return journal.Review{ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text}
+}
 
 // JournalStatusResponse is the GET /journal/status payload.
 type JournalStatusResponse struct {

@@ -42,12 +42,8 @@ func journaledServer(t *testing.T) (*core.DB, string, *httptest.Server) {
 	t.Cleanup(func() { j.Close() })
 	srv := httptest.NewServer(server.New(clone, server.Options{
 		Ingest: &server.IngestOptions{
-			JournalDir: jdir,
-			Append: func(rv core.ReviewData) (uint64, error) {
-				return j.Append(journal.Review{
-					ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-				})
-			},
+			JournalDir:  jdir,
+			AppendBatch: server.JournalAppendBatch(j),
 		},
 	}))
 	t.Cleanup(srv.Close)

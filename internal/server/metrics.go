@@ -143,11 +143,11 @@ func (s *Server) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		if c := s.opts.Trace; c != nil {
 			ctx := trace.Extract(r.Context(), r.Header)
 			ctx, sp := c.Start(ctx, "server."+endpoint)
-			sw := &statusWriter{ResponseWriter: w}
+			sw := &StatusWriter{ResponseWriter: w}
 			h(sw, r.WithContext(ctx))
-			sp.SetAttr("status", strconv.Itoa(sw.status()))
-			if sw.status() >= http.StatusInternalServerError {
-				sp.SetError(http.StatusText(sw.status()))
+			sp.SetAttr("status", strconv.Itoa(sw.Status()))
+			if sw.Status() >= http.StatusInternalServerError {
+				sp.SetError(http.StatusText(sw.Status()))
 			}
 			sp.End()
 			hist.ObserveSinceWithExemplar(t0, sp.Trace)
@@ -156,34 +156,6 @@ func (s *Server) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		h(w, r)
 		hist.ObserveSince(t0)
 	}
-}
-
-// statusWriter captures the response status so the request span can be
-// annotated (and error-marked on 5xx) after the handler returns.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (s *statusWriter) WriteHeader(c int) {
-	if s.code == 0 {
-		s.code = c
-	}
-	s.ResponseWriter.WriteHeader(c)
-}
-
-func (s *statusWriter) Write(p []byte) (int, error) {
-	if s.code == 0 {
-		s.code = http.StatusOK
-	}
-	return s.ResponseWriter.Write(p)
-}
-
-func (s *statusWriter) status() int {
-	if s.code == 0 {
-		return http.StatusOK
-	}
-	return s.code
 }
 
 // Metrics returns the registry backing GET /metrics — the daemon and

@@ -24,8 +24,6 @@
 package server
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -76,30 +74,16 @@ type ShardInfo struct {
 // enrichment of a serving database (§4.2.2's "the marker summaries can be
 // incrementally computed", journaled for durability).
 type IngestOptions struct {
-	// Append records a review delta before it is applied — the journal's
-	// append-then-apply contract: once the client is acked, a crash
-	// replays the delta from the journal. It returns the journal sequence
-	// number. nil ingests without journaling (volatile: test and
+	// AppendBatch journals a whole commit batch before it is applied —
+	// the journal's append-then-apply contract: once the client is acked,
+	// a crash replays the delta from the journal. Records land in order,
+	// one fsync covers the batch, and the first record's sequence is
+	// returned (the batch is seq, seq+1, ...). The call must be atomic —
+	// every record journaled and durable, or none — which
+	// journal.Journal.AppendBatch guarantees; JournalAppendBatch adapts
+	// one. nil ingests without journaling (volatile: test and
 	// in-process-build servers).
-	Append func(rv core.ReviewData) (seq uint64, err error)
-	// AppendBatch journals a whole commit batch before it is applied:
-	// records land in order, one fsync covers the batch, and the first
-	// record's sequence is returned (the batch is seq, seq+1, ...). The
-	// call must be atomic — every record journaled and durable, or none —
-	// which journal.Journal.AppendBatch guarantees. When non-nil, the
-	// group-commit pipeline uses it so N concurrent writers share one
-	// fsync; when nil, the pipeline falls back to per-record Append.
 	AppendBatch func(rvs []core.ReviewData) (firstSeq uint64, err error)
-	// AppendDurable declares that Append's return already implies
-	// durability (the journal runs with SyncEvery <= 1). It only affects
-	// the Durable field reported to clients on the per-record fallback
-	// path; AppendBatch acks are durable by contract.
-	AppendDurable bool
-	// DisableGroupCommit serializes the write path the pre-group-commit
-	// way: validate → append → fsync → apply under one exclusive lock per
-	// request. It exists as the control arm of the benchall "groupcommit"
-	// experiment and as an operator escape hatch.
-	DisableGroupCommit bool
 	// MaxQueueDepth bounds the staged commit queue; a write arriving at a
 	// full queue is refused with 503 + Retry-After instead of growing the
 	// backlog without bound. <= 0 means DefaultCommitQueueDepth.
@@ -256,42 +240,15 @@ func (s *Server) read(h http.HandlerFunc) http.HandlerFunc {
 // would freeze every endpoint, health probes included.
 func buffered(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		buf := &bufferedResponse{header: http.Header{}}
+		buf := NewResponseBuffer()
 		h(buf, r)
 		dst := w.Header()
 		for k, v := range buf.header {
 			dst[k] = v
 		}
-		w.WriteHeader(buf.status())
-		_, _ = w.Write(buf.buf.Bytes())
+		w.WriteHeader(buf.Status())
+		_, _ = w.Write(buf.Bytes())
 	}
-}
-
-// bufferedResponse is a minimal in-memory http.ResponseWriter backing
-// read()'s compose-under-lock, flush-after-unlock split.
-type bufferedResponse struct {
-	header http.Header
-	code   int
-	buf    bytes.Buffer
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-func (b *bufferedResponse) WriteHeader(c int) {
-	if b.code == 0 {
-		b.code = c
-	}
-}
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.code == 0 {
-		b.code = http.StatusOK
-	}
-	return b.buf.Write(p)
-}
-func (b *bufferedResponse) status() int {
-	if b.code == 0 {
-		return http.StatusOK
-	}
-	return b.code
 }
 
 // get wraps a read-only handler with a 405 + JSON envelope for every verb
@@ -783,10 +740,9 @@ type ReviewResponse struct {
 	// present: 0 means the server ingests without a journal (volatile),
 	// never "field omitted" — clients must be able to tell the two apart.
 	Seq uint64 `json:"seq"`
-	// Durable is true when the journaled record was fsynced before this
-	// acknowledgement was written — the group-commit contract. False only
-	// on volatile (journal-less) ingestion or a journal configured with a
-	// lazy sync batch (SyncEvery > 1) on the per-record append path.
+	// Durable is true iff the review was journaled: AppendBatch fsyncs
+	// every batch before any of its acknowledgements is written. False
+	// only on volatile (journal-less) ingestion.
 	Durable bool `json:"durable"`
 }
 
@@ -807,12 +763,12 @@ func DecodeReviewRequest(r *http.Request) (ReviewRequest, error) {
 	return req, nil
 }
 
-// handleReviews is the live-enrichment write path. The default pipeline
-// is group commit (see groupcommit.go): the handler prepares the delta
-// outside every lock, stages it on the commit queue, and one staged
-// writer — the leader — journals the whole queue with a single shared
-// fsync before applying it in sequence order, so every 200 response
-// implies durability regardless of how many writers arrived together.
+// handleReviews is the live-enrichment write path, group commit (see
+// groupcommit.go): the handler prepares the delta outside every lock,
+// stages it on the commit queue, and one staged writer — the leader —
+// journals the whole queue with a single shared fsync before applying it
+// in sequence order, so every 200 from a journaled server implies
+// durability regardless of how many writers arrived together.
 // Append-before-apply is what makes a crash safe — an acknowledged
 // review is either in the served state or replayed from the journal at
 // the next load.
@@ -832,82 +788,7 @@ func (s *Server) handleReviews(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rv := core.ReviewData{ID: req.ID, EntityID: req.EntityID, Reviewer: req.Reviewer, Day: req.Day, Text: req.Text}
-	if s.opts.Ingest.DisableGroupCommit {
-		s.handleReviewSerialized(w, r.Context(), req, rv)
-		return
-	}
-	s.handleReviewGrouped(w, r.Context(), req, rv)
-}
-
-// handleReviewSerialized is the pre-group-commit write path, kept as the
-// DisableGroupCommit control arm: validate → append → apply, all under
-// one exclusive lock per request.
-func (s *Server) handleReviewSerialized(w http.ResponseWriter, ctx context.Context, req ReviewRequest, rv core.ReviewData) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.db.HasReview(rv.ID) {
-		WriteError(w, http.StatusConflict, "review %q already ingested", rv.ID)
-		return
-	}
-	owned := s.db.ServesEntity(rv.EntityID)
-	if !owned && !(req.Replica && s.opts.Ingest.AcceptUnowned) {
-		WriteError(w, http.StatusNotFound, "no entity %q served here", rv.EntityID)
-		return
-	}
-	var seq uint64
-	var durable bool
-	var err error
-	if s.opts.Ingest.Append != nil || s.opts.Ingest.AppendBatch != nil {
-		t0 := time.Now()
-		if s.opts.Ingest.Append != nil {
-			seq, err = s.opts.Ingest.Append(rv)
-			durable = s.opts.Ingest.AppendDurable
-		} else {
-			seq, err = s.opts.Ingest.AppendBatch([]core.ReviewData{rv})
-			durable = true
-		}
-		s.metrics.journalAppend.ObserveSince(t0)
-		if err != nil {
-			WriteError(w, http.StatusInternalServerError, "journal append: %v", err)
-			return
-		}
-		// Extend the in-memory prefix-hash chain with exactly what was
-		// journaled — the chain mirrors the journal, not the applied
-		// state, so it advances before the apply below.
-		s.extendPrefixChain(seq, rv, trace.ID(ctx))
-	}
-	before := len(s.db.Extractions)
-	t0 := time.Now()
-	err = s.db.ApplyReview(rv)
-	s.metrics.apply.ObserveSince(t0)
-	if err != nil {
-		// The delta is journaled but not applied; the next load replays it.
-		// Surfacing the inconsistency beats hiding it. The apply may have
-		// mutated state before failing, so memoized fragments are
-		// conservatively dropped — a stale fragment would serve wrong bytes.
-		if s.topkMemo != nil {
-			s.topkMemo.invalidate()
-		}
-		WriteError(w, http.StatusInternalServerError, "apply (journaled at seq %d): %v", seq, err)
-		return
-	}
-	if s.topkMemo != nil {
-		// Any applied review can move any score (interpretation state is
-		// corpus-global); drop every memoized fragment.
-		s.topkMemo.invalidate()
-	}
-	if seq > 0 {
-		s.appliedSeq = seq
-		s.metrics.appliedSeq.Set(float64(seq))
-	}
-	WriteJSON(w, http.StatusOK, ReviewResponse{
-		ReviewID:    rv.ID,
-		EntityID:    rv.EntityID,
-		Owned:       owned,
-		Extractions: len(s.db.Extractions) - before,
-		Seq:         seq,
-		Durable:     durable,
-	})
+	s.ingest(w, r.Context(), req.Replica, rv)
 }
 
 // extendPrefixChain advances the in-memory prefix-hash chain with one
@@ -920,9 +801,7 @@ func (s *Server) extendPrefixChain(seq uint64, rv core.ReviewData, traceID strin
 	if ph == nil {
 		return
 	}
-	if err := ph.Append(seq, journal.Review{
-		ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-	}); err != nil {
+	if err := ph.Append(seq, journalReview(rv)); err != nil {
 		s.ph.Store(nil)
 		s.metrics.chainDropped.Inc()
 		slog.Warn("server: prefix-hash chain dropped; journal/status probes degrade to segment scans until restart",

@@ -48,15 +48,7 @@ func tracedIngestServer(t *testing.T, wrapBatch func(batchFn) batchFn) (*core.DB
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { j.Close() })
-	appendBatch := func(rvs []core.ReviewData) (uint64, error) {
-		recs := make([]journal.Review, len(rvs))
-		for i, rv := range rvs {
-			recs[i] = journal.Review{
-				ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-			}
-		}
-		return j.AppendBatch(recs)
-	}
+	appendBatch := server.JournalAppendBatch(j)
 	if wrapBatch != nil {
 		appendBatch = wrapBatch(appendBatch)
 	}
@@ -64,12 +56,7 @@ func tracedIngestServer(t *testing.T, wrapBatch func(batchFn) batchFn) (*core.DB
 	srv := httptest.NewServer(server.New(clone, server.Options{
 		Trace: col,
 		Ingest: &server.IngestOptions{
-			JournalDir: jdir,
-			Append: func(rv core.ReviewData) (uint64, error) {
-				return j.Append(journal.Review{
-					ID: rv.ID, EntityID: rv.EntityID, Reviewer: rv.Reviewer, Day: rv.Day, Text: rv.Text,
-				})
-			},
+			JournalDir:  jdir,
 			AppendBatch: appendBatch,
 		},
 	}))
