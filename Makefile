@@ -59,67 +59,65 @@ serve:
 snapshot:
 	go run ./cmd/opinedbb -o opinedb.snap
 
-# Snapshot smoke test: build a small corpus, save, reload, and check the
-# loaded database answers byte-identically (plus one live query).
+# End-to-end smoke tests: each target runs one entry of the scenario
+# table (internal/harness/scenario.go), which owns the entry's fleet
+# shape, faults, traffic and gates, and exits non-zero unless every gate
+# passes. Every fingerprint gate compares the full 948-entry query set
+# byte for byte against the monolith the deployment was built from.
+
+# Snapshot: build a small corpus, save, reload, and check the loaded
+# database answers byte-identically (plus one live query).
 snapshot-smoke:
-	go run ./cmd/opinedbb -small -verify -o /tmp/opinedb-smoke.snap
+	go run ./cmd/opinedbb -scenario snapshot
 
-# Sharding smoke test: build a small corpus, partition into 4 per-shard
-# snapshots + manifest, reload the fleet behind the router, and check it
-# answers byte-identically to the monolith.
+# Sharding: partition into 4 per-shard snapshots + manifest, reload the
+# fleet behind the router, and check it answers like the monolith.
 shard-smoke:
-	go run ./cmd/opinedbb -small -shards 4 -verify -o /tmp/opinedb-shard-smoke.snap
+	go run ./cmd/opinedbb -scenario shard
 
-# Journal crash-recovery smoke test: build a small corpus, snapshot it,
-# ingest review deltas from a child process, SIGKILL it mid-write, then
-# reload snapshot+journal and check the replayed state fingerprints
-# byte-identically to direct application (and survives compaction).
+# Journal crash recovery: snapshot, ingest review deltas from a child
+# process, SIGKILL it after 40 acks, then require every ack recovered as
+# a contiguous prefix, replay identical to direct application, and
+# compaction to an empty journal with the same answers.
 journal-smoke:
-	go run ./cmd/opinedbb -small -journal-smoke -o /tmp/opinedb-journal-smoke.snap
+	go run ./cmd/opinedbb -scenario journal
 
-# Rebalancing smoke test: build a 4-shard fleet, ingest review deltas
-# through the router (journaled, fleet-ordered), rebalance to 2 and then
-# to 8 shards without a rebuild, and check each fleet answers
-# byte-identically to the enriched monolith.
+# Rebalancing: route 24 journaled writes through a 4-shard fleet (every
+# ack whole and durable), rebalance to 2 and then to 8 shards without a
+# rebuild, and check each fleet against the enriched monolith.
 rebalance-smoke:
-	go run ./cmd/opinedbb -rebalance-smoke
+	go run ./cmd/opinedbb -scenario rebalance
 
-# Load smoke test: build a journaled 4-shard in-process fleet on a
-# loopback listener, drive 5s of mixed read/write traffic over real TCP,
-# and fail unless every operation kind served with zero errors and
-# measured latency percentiles.
+# Mixed-traffic load: a journaled 4-shard fleet behind a loopback
+# listener, 5s of the default mix over real TCP at concurrency 8. Fails
+# on any request error, a weighted op kind with no measured p99, or a
+# non-durable write ack; then a repair pass and owner-order journal
+# replay must reproduce the fleet's answers.
 load-smoke:
-	go run ./cmd/opinedbload -smoke -duration 5s -concurrency 8
+	go run ./cmd/opinedbb -scenario load
 
-# Write smoke test: drive a write-heavy mix at a journaled 4-shard
-# in-process fleet with group commit on, then replay one node's journal
-# into the pre-fleet monolith and require the routed fleet to answer the
-# full query set byte-identically — zero errors, every ack durable, and
-# concurrency changed scheduling, not state.
+# Write-heavy group commit: the same front door at concurrency 16 with
+# mix query=1,topk=1,interpret=1,reviews=6 — zero errors, every ack
+# durable, at least every acked write replayed, and concurrency changed
+# scheduling, not state.
 write-smoke:
-	go run ./cmd/opinedbload -smoke -duration 5s -concurrency 16 \
-		-mix query=1,topk=1,interpret=1,reviews=6 -fingerprint
+	go run ./cmd/opinedbb -scenario write
 
-# Replication smoke test: build an R=2 fleet, drive the mixed load
-# through the router, and mid-load JOIN a third replica on the hot range
-# (snapshot + journal catch-up, admitted with the byte-identity proof)
-# then KILL an original replica outright. Fail unless every request
-# served through both transitions, the joiner's journal is hash-identical
-# to a survivor's, and the fleet stays byte-identical to the enriched
-# monolith.
+# Replication: an R=2 fleet under the default mix; mid-load a third
+# replica JOINs the hot range (admitted with the byte-identity proof)
+# and an original replica is KILLED. Fails unless every request served
+# through both transitions, the joiner's journal is hash-identical to a
+# survivor's, and the fleet matches the enriched monolith.
 replica-smoke:
-	go run ./cmd/opinedbb -replica-smoke
+	go run ./cmd/opinedbb -scenario replica
 
-# Tracing smoke test: build a routed R=2 fleet with one artificially
-# slow replica, drive the mixed load over real TCP, and fail unless the
-# shared trace store holds a hedge-won request whose scatter legs carry
-# shard/replica attribution and whose server-side spans joined the same
-# trace — the end-to-end proof that header propagation, hedging
-# attribution, and tail sampling compose. -fingerprint keeps the
-# byte-identity gate on the same run: tracing must not perturb answers.
+# Tracing: an R=2 fleet with one replica slowed by 25ms, the default mix
+# over TCP, every trace kept. Fails unless the trace store holds a
+# hedge-won request whose scatter legs carry shard/replica attribution
+# and whose server-side spans joined the same trace; the load and
+# fingerprint gates prove tracing perturbed nothing.
 trace-smoke:
-	go run ./cmd/opinedbload -smoke -trace-smoke -duration 5s -concurrency 8 \
-		-replicas 2 -slow-replica 25ms -slow-ms 25 -fingerprint
+	go run ./cmd/opinedbb -scenario trace
 
 # Advisory SLO gate: rerun the quick load experiment and compare its
 # per-op p95s and throughput against the committed baseline. Warn-only —

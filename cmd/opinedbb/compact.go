@@ -8,7 +8,7 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"log/slog"
 	"strings"
 	"time"
 
@@ -23,15 +23,15 @@ func runCompact(target, out string, outSet bool) {
 	if strings.HasSuffix(target, ".json") {
 		m, shards, err := journal.CompactManifest(target)
 		if err != nil {
-			log.Fatalf("compact %s: %v", target, err)
+			fatal("compact failed", "target", target, "err", err)
 		}
 		if len(shards) == 0 {
 			fmt.Printf("compact OK: %s has no journaled deltas; nothing to fold\n", target)
 			return
 		}
 		for _, s := range shards {
-			log.Printf("shard %d: folded %d reviews (%d already in the snapshot), new digest %s",
-				s.Index, s.Applied, s.Skipped, s.Digest[:12])
+			slog.Info("compacted shard", "shard", s.Index, "folded", s.Applied,
+				"already_in_snapshot", s.Skipped, "digest", s.Digest[:12])
 		}
 		fmt.Printf("compact OK: %d of %d shards folded, manifest digests refreshed (%.2fs)\n",
 			len(shards), m.Shards, time.Since(start).Seconds())
@@ -43,10 +43,10 @@ func runCompact(target, out string, outSet bool) {
 	}
 	meta, st, err := journal.Compact(target, dst)
 	if err != nil {
-		log.Fatalf("compact %s: %v", target, err)
+		fatal("compact failed", "target", target, "err", err)
 	}
 	if st.TailErr != nil {
-		log.Printf("journal tail damage skipped: %d bytes (%v)", st.DroppedBytes, st.TailErr)
+		slog.Warn("journal tail damage skipped", "bytes", st.DroppedBytes, "err", st.TailErr)
 	}
 	fmt.Printf("compact OK: folded %d reviews (%d already in the snapshot) into %s: %.2f MB, digest %s (%.2fs)\n",
 		st.Applied, st.Skipped, dst, float64(meta.FileBytes)/(1<<20), meta.SHA256[:12], time.Since(start).Seconds())

@@ -9,10 +9,15 @@
 // manifest; opinedbd then serves a single shard (-shard-manifest
 // -shard-index) or routes over the fleet (-router).
 //
+// With -scenario NAME it instead runs one entry of the end-to-end
+// scenario table (internal/harness/scenario.go) — snapshot, shard,
+// journal, rebalance, replica, load, write or trace — and exits non-zero
+// unless every gate passes; each `make <name>-smoke` target runs one.
+//
 // Examples:
 //
 //	opinedbb -domain hotel -o hotel.snap
-//	opinedbb -small -verify -o /tmp/smoke.snap     # build → save → load → query smoke test
+//	opinedbb -scenario snapshot                    # build → save → load → query smoke test
 //	opinedbd -snapshot hotel.snap                  # serve it
 //	opinedbb -domain hotel -shards 4 -o hotel.snap # hotel-shard0..3.snap + hotel.manifest.json
 //	opinedbd -shard-manifest hotel.manifest.json -shard-index 2
@@ -23,7 +28,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -31,17 +36,16 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/harness"
-	"repro/internal/router"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
-// tracer backs the builder's /debug/traces when -debug-addr is set; the
-// -verify scatter check wires it through the throwaway router so even a
-// batch run's queries are traceable.
-var tracer = trace.New(trace.Options{})
+// fatal logs an error through the structured logger and exits.
+func fatal(msg string, args ...any) {
+	slog.Error(msg, args...)
+	os.Exit(1)
+}
 
 func main() {
 	out := flag.String("o", "opinedb.snap", "snapshot output path; with -shards > 1 the base name for <base>-shardK.snap and <base>.manifest.json")
@@ -54,27 +58,31 @@ func main() {
 	subindex := flag.Bool("subindex", true, "build the Appendix B substitution index into the snapshot")
 	shards := flag.Int("shards", 1, "partition the entity space into N per-shard snapshots plus a manifest (1 = monolithic)")
 	replicas := flag.String("replicas", "", `with -shards > 1: record the replica-set shape in the manifest — "3" for a uniform R, or "0=3,1=1" per-range pairs (unlisted ranges default to 1) so a hot range runs R=3 while cold ranges stay single-replica (opinedbd -router serves each range accordingly)`)
-	verify := flag.Bool("verify", false, "after writing, reload the artifact(s) and check query equivalence against the in-memory build")
 	compact := flag.String("compact", "", "fold a review journal back into a fresh snapshot instead of building: pass a snapshot path (compacted in place, or to -o when -o is set) or a shard manifest (*.json: every shard journal is folded and the manifest digests refreshed)")
-	journalSmoke := flag.Bool("journal-smoke", false, "crash-recovery smoke test: build → snapshot → ingest from a child process → SIGKILL it mid-write → reload snapshot+journal → fingerprint check against direct application")
 	rebalance := flag.Int("rebalance", 0, "rebalance the stopped fleet described by -manifest to N shards without a rebuild: merge the loaded shards (snapshots + journals), re-partition, and commit a fresh snapshot set + manifest crash-safely")
 	manifestFlag := flag.String("manifest", "", "shard manifest path for -rebalance")
-	rebalanceSmoke := flag.Bool("rebalance-smoke", false, "rebalancing smoke test: build a 4-shard fleet → ingest through the router → rebalance to 2 and to 8 → fingerprint check against the enriched monolith")
-	replicaSmoke := flag.Bool("replica-smoke", false, "replication smoke test: build an R=2 fleet → run the mixed load → join a third replica on the hot range mid-load → kill an original replica mid-load → assert zero request errors, joiner journal identity, and fingerprint byte-identity against the enriched monolith")
+	scenario := flag.String("scenario", "", "run one end-to-end scenario instead of building (snapshot, shard, journal, rebalance, replica, load, write or trace: see internal/harness/scenario.go) and exit non-zero unless every gate passes; -seed applies")
 	debugAddr := flag.String("debug-addr", "", "serve the debug surface (net/http/pprof under /debug/pprof/, traces under /debug/traces) on this address for the duration of the run; empty disables")
 	flag.Parse()
 
+	if os.Getenv(harness.JournalCrashEnv) != "" {
+		// Re-executed by the journal scenario as its ingestion worker,
+		// which runs until the parent SIGKILLs it.
+		if err := harness.RunJournalCrashWorker(os.Stdout); err != nil {
+			fatal("journal crash worker failed", "err", err)
+		}
+		return
+	}
 	if *debugAddr != "" {
 		go func() {
-			log.Printf("debug surface listening on %s", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, trace.DebugMux(tracer)); err != nil {
-				log.Printf("debug surface: %v", err)
+			slog.Info("debug surface listening", "addr", *debugAddr)
+			if err := http.ListenAndServe(*debugAddr, trace.DebugMux(trace.New(trace.Options{}))); err != nil {
+				slog.Error("debug surface failed", "addr", *debugAddr, "err", err)
 			}
 		}()
 	}
-
-	if os.Getenv(smokeChildEnv) != "" {
-		journalSmokeChild()
+	if *scenario != "" {
+		runScenario(*scenario, *seed)
 		return
 	}
 	if *compact != "" {
@@ -87,89 +95,75 @@ func main() {
 		runCompact(*compact, *out, outSet)
 		return
 	}
-	if *journalSmoke {
-		runJournalSmoke(*domain, *seed, *out)
-		return
-	}
 	if *rebalance > 0 {
 		runRebalance(*manifestFlag, *rebalance)
 		return
 	}
-	if *rebalanceSmoke {
-		runRebalanceSmoke(*seed)
-		return
-	}
-	if *replicaSmoke {
-		runReplicaSmoke(*seed)
-		return
-	}
 
-	log.Printf("generating %s corpus and building subjective database...", *domain)
+	slog.Info("generating corpus and building subjective database", "domain", *domain)
 	start := time.Now()
 	d, db, err := harness.BuildDomain(*domain, *small, *seed, *workers, *tagged, *labels, *subindex)
 	if err != nil {
-		log.Fatalf("build: %v", err)
+		fatal("build failed", "err", err)
 	}
-	buildSecs := time.Since(start).Seconds()
-	log.Printf("built: %d entities, %d reviews, %d extractions, %d subjective attributes (%.1fs)",
-		len(d.Entities), len(d.Reviews), len(db.Extractions), len(db.Attrs), buildSecs)
+	slog.Info("built", "entities", len(d.Entities), "reviews", len(d.Reviews), "extractions", len(db.Extractions),
+		"attributes", len(db.Attrs), "seconds", time.Since(start).Seconds())
 
 	if *shards > 1 {
-		writeSharded(d, db, *out, *shards, *replicas, *seed, buildSecs, *verify)
-		os.Exit(0)
+		writeSharded(db, *out, *shards, *replicas, *seed)
+		return
 	}
 
 	start = time.Now()
 	meta, err := snapshot.Save(*out, db)
 	if err != nil {
-		log.Fatalf("save: %v", err)
+		fatal("save failed", "path", *out, "err", err)
 	}
-	log.Printf("wrote %s: %.2f MB, format v%d (%.2fs)",
-		*out, float64(meta.FileBytes)/(1<<20), meta.FormatVersion, time.Since(start).Seconds())
+	slog.Info("wrote snapshot", "path", *out, "mb", float64(meta.FileBytes)/(1<<20),
+		"format", meta.FormatVersion, "seconds", time.Since(start).Seconds())
 	for _, s := range meta.Sections {
-		log.Printf("  section %-12s %9d bytes", s.Name, s.Bytes)
+		slog.Info("snapshot section", "name", s.Name, "bytes", s.Bytes)
 	}
+}
 
-	if *verify {
-		loaded, loadMeta, err := snapshot.Load(*out)
-		if err != nil {
-			log.Fatalf("verify: load: %v", err)
-		}
-		builtFP, n := harness.QueryFingerprint(d, db)
-		loadedFP, _ := harness.QueryFingerprint(d, loaded)
-		if builtFP != loadedFP {
-			log.Fatalf("verify: loaded snapshot diverges from the in-memory build over %d query-set entries", n)
-		}
-		res, err := loaded.Query(`SELECT * FROM Entities WHERE "has really clean rooms" LIMIT 3`)
-		if err != nil {
-			log.Fatalf("verify: query on loaded snapshot: %v", err)
-		}
-		log.Printf("verify: loaded in %.1fms, byte-identical over %d query-set entries; sample query → %d rows (%s)",
-			float64(loadMeta.LoadDuration.Microseconds())/1000, n, len(res.Rows), res.Rewritten)
-		fmt.Printf("snapshot-smoke OK: build %.1fs → load %.1fms (%.0fx cold-start win)\n",
-			buildSecs, float64(loadMeta.LoadDuration.Microseconds())/1000,
-			buildSecs/loadMeta.LoadDuration.Seconds())
+// runScenario runs one scenario-table entry in a scratch directory and
+// exits non-zero unless every gate passed.
+func runScenario(name string, seed int64) {
+	sc, err := harness.LookupScenario(name)
+	if err != nil {
+		fatal("scenario", "err", err)
 	}
-	os.Exit(0)
+	dir, err := os.MkdirTemp("", "opinedb-scenario-"+name+"-*")
+	if err != nil {
+		fatal("scenario", "err", err)
+	}
+	run, err := harness.RunScenario(context.Background(), sc, dir, seed)
+	if run.Load.TotalOps > 0 {
+		fmt.Print(harness.FormatLoad(run.Load))
+	}
+	_ = os.RemoveAll(dir) // best effort: scratch under the system temp dir
+	if err != nil {
+		fatal("scenario FAILED", "err", err)
+	}
+	fmt.Printf("%s-smoke OK: %d gates passed\n", name, len(sc.Gates))
 }
 
 // shardBase strips the output path's extension: hotel.snap → hotel.
 func shardBase(out string) string { return strings.TrimSuffix(out, filepath.Ext(out)) }
 
-// writeSharded partitions the built database, writes one snapshot per
-// shard plus the checksummed manifest (recording the replica-set size
-// when R > 1 — replicas serve the same artifacts, so only the manifest
-// changes shape), and optionally verifies that a router over the
-// reloaded shards answers byte-identically to the in-memory monolith.
-func writeSharded(d *corpus.Dataset, db *core.DB, out string, shards int, replicaSpec string, seed int64, buildSecs float64, verify bool) {
+// writeSharded partitions the built database and writes one snapshot
+// per shard plus the checksummed manifest (recording the replica-set
+// size when R > 1 — replicas serve the same artifacts, so only the
+// manifest changes shape).
+func writeSharded(db *core.DB, out string, shards int, replicaSpec string, seed int64) {
 	base := shardBase(out)
 	shardDBs, parts, err := db.Shards(shards)
 	if err != nil {
-		log.Fatalf("shard: %v", err)
+		fatal("shard failed", "err", err)
 	}
 	perRange, uniform, err := snapshot.ParseReplicaSpec(replicaSpec, shards)
 	if err != nil {
-		log.Fatalf("shard: -replicas: %v", err)
+		fatal("shard: bad -replicas", "err", err)
 	}
 	if uniform == 1 {
 		uniform = 0 // canonical single-replica manifest: field absent
@@ -197,7 +191,7 @@ func writeSharded(d *corpus.Dataset, db *core.DB, out string, shards int, replic
 			LastEntity:    ids[len(ids)-1],
 		})
 		if err != nil {
-			log.Fatalf("shard %d: save: %v", i, err)
+			fatal("shard save failed", "shard", i, "err", err)
 		}
 		// The digest was computed while the snapshot streamed out
 		// (snapshot.SaveShard hashes through io.MultiWriter), so the
@@ -211,35 +205,17 @@ func writeSharded(d *corpus.Dataset, db *core.DB, out string, shards int, replic
 			SnapshotSHA256: meta.SHA256,
 			SnapshotBytes:  meta.FileBytes,
 		})
-		log.Printf("wrote %s: %.2f MB, entities [%s .. %s] (%d)",
-			path, float64(meta.FileBytes)/(1<<20), ids[0], ids[len(ids)-1], len(ids))
+		slog.Info("wrote shard snapshot", "path", path, "mb", float64(meta.FileBytes)/(1<<20),
+			"first", ids[0], "last", ids[len(ids)-1], "entities", len(ids))
 	}
 	manifestPath := base + ".manifest.json"
 	if err := snapshot.WriteManifest(manifestPath, manifest); err != nil {
-		log.Fatalf("manifest: %v", err)
+		fatal("manifest write failed", "err", err)
 	}
 	nodes := 0
 	for i := 0; i < shards; i++ {
 		nodes += manifest.ReplicaCount(i)
 	}
-	log.Printf("wrote %s: %d shards, %d serving nodes, %d entities (%.2fs)",
-		manifestPath, shards, nodes, manifest.TotalEntities, time.Since(start).Seconds())
-
-	if verify {
-		// FromManifest honors the manifest's replica count, so an R>1 build
-		// verifies the replicated fleet it describes.
-		rt, _, err := router.FromManifest(manifestPath, router.ManifestOptions{
-			Options: router.Options{Trace: tracer},
-		})
-		if err != nil {
-			log.Fatalf("verify: %v", err)
-		}
-		builtFP, n := harness.QueryFingerprint(d, db)
-		routedFP, _ := harness.QueryFingerprint(d, rt.Engine(context.Background()))
-		if builtFP != routedFP {
-			log.Fatalf("verify: sharded fleet diverges from the in-memory build over %d query-set entries", n)
-		}
-		log.Printf("verify: %d-shard fleet (%d nodes) byte-identical to the monolith over %d query-set entries", shards, rt.NumNodes(), n)
-		fmt.Printf("shard-smoke OK: %d shards, %d query-set entries identical (build %.1fs)\n", shards, n, buildSecs)
-	}
+	slog.Info("wrote manifest", "path", manifestPath, "shards", shards, "nodes", nodes,
+		"entities", manifest.TotalEntities, "seconds", time.Since(start).Seconds())
 }

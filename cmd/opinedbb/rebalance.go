@@ -8,7 +8,7 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"log/slog"
 	"time"
 
 	"repro/internal/fleet"
@@ -16,19 +16,18 @@ import (
 
 func runRebalance(manifestPath string, m int) {
 	if manifestPath == "" {
-		log.Fatalf("rebalance: -manifest is required (the fleet's shard manifest)")
+		fatal("rebalance: -manifest is required (the fleet's shard manifest)")
 	}
 	start := time.Now()
 	report, err := fleet.Rebalance(manifestPath, m, fleet.RebalanceOptions{})
 	if err != nil {
-		log.Fatalf("rebalance: %v", err)
+		fatal("rebalance failed", "manifest", manifestPath, "err", err)
 	}
-	log.Printf("rebalanced %s: %d → %d shards, %d entities, %d journal records folded (%.2fs)",
-		manifestPath, report.FromShards, report.ToShards, report.Entities,
-		report.ReplayedRecords, time.Since(start).Seconds())
+	slog.Info("rebalanced", "manifest", manifestPath, "from", report.FromShards, "to", report.ToShards,
+		"entities", report.Entities, "folded", report.ReplayedRecords, "seconds", time.Since(start).Seconds())
 	for _, s := range report.Manifest.Shard {
-		log.Printf("  shard %d: %s, entities [%s .. %s] (%d)",
-			s.Index, s.Path, s.FirstEntity, s.LastEntity, s.Entities)
+		slog.Info("rebalanced shard", "shard", s.Index, "path", s.Path,
+			"first", s.FirstEntity, "last", s.LastEntity, "entities", s.Entities)
 	}
 	fmt.Printf("rebalance OK: %d → %d shards in %.2fs\n",
 		report.FromShards, report.ToShards, time.Since(start).Seconds())

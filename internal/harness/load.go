@@ -5,11 +5,11 @@ package harness
 // at fixed concurrency for a fixed duration and report per-operation
 // SLO percentiles from the exact recorded latencies (no bucketing —
 // the sample counts here are small enough to sort). The same runner
-// backs `opinedbload` (real TCP against a daemon or its own in-process
-// fleet) and benchall's "load" experiment (in-process handler, plus
-// the two hot-path A/Bs: /topk fragment memoization on vs off, and
-// the incremental journal prefix-hash chain vs the per-probe segment
-// rescan it replaced).
+// backs `opinedbload` (real TCP against a live fleet), the scenario
+// table's load phases (scenario.go), and benchall's "load" experiment
+// (in-process handler, plus the two hot-path A/Bs: /topk fragment
+// memoization on vs off, and the incremental journal prefix-hash chain
+// vs the per-probe segment rescan it replaced).
 
 import (
 	"bytes"
@@ -83,6 +83,9 @@ type LoadResult struct {
 	TotalErrors  int                    `json:"total_errors"`
 	OpsPerSecond float64                `json:"ops_per_second"`
 	PerOp        map[string]LoadOpStats `json:"per_op"`
+	// NonDurableAcks counts successful POST /reviews whose ack lacked
+	// "durable":true — writes the fleet accepted without journaling.
+	NonDurableAcks int `json:"non_durable_acks"`
 	// Err is non-empty when the run itself could not proceed (as opposed
 	// to individual requests failing, which land in Errors).
 	Err string `json:"error,omitempty"`
@@ -192,9 +195,19 @@ var reviewPhrases = []string{
 
 // loadSample is one recorded operation.
 type loadSample struct {
-	op     string
-	micros float64
-	err    bool
+	op         string
+	micros     float64
+	err        bool
+	nonDurable bool
+}
+
+// ackDurable reports whether a /reviews response body acks a journaled
+// write.
+func ackDurable(body []byte) bool {
+	var ack struct {
+		Durable bool `json:"durable"`
+	}
+	return json.Unmarshal(body, &ack) == nil && ack.Durable
 }
 
 // RunLoadMix drives the target with the mixed workload and reports SLO
@@ -284,9 +297,10 @@ func RunLoadMix(ctx context.Context, do LoadTarget, vocabD *corpus.Dataset, opts
 					target, method = "/reviews", http.MethodPost
 				}
 				t0 := time.Now()
-				status, _, err := do(runCtx, method, target, body)
+				status, resp, err := do(runCtx, method, target, body)
 				elapsed := time.Since(t0)
-				if runCtx.Err() != nil && (err != nil || status >= 400) {
+				failed := err != nil || status >= 400
+				if runCtx.Err() != nil && failed {
 					// The deadline cut this request off mid-flight — whether the
 					// failure surfaced as a transport error or as the router
 					// reporting its cancelled scatter legs, it is the clock
@@ -294,9 +308,10 @@ func RunLoadMix(ctx context.Context, do LoadTarget, vocabD *corpus.Dataset, opts
 					break
 				}
 				samples[w] = append(samples[w], loadSample{
-					op:     op,
-					micros: float64(elapsed.Microseconds()),
-					err:    err != nil || status >= 400,
+					op:         op,
+					micros:     float64(elapsed.Microseconds()),
+					err:        failed,
+					nonDurable: op == "reviews" && !failed && !ackDurable(resp),
 				})
 			}
 		}(w)
@@ -314,6 +329,9 @@ func RunLoadMix(ctx context.Context, do LoadTarget, vocabD *corpus.Dataset, opts
 				res.TotalErrors++
 			} else {
 				byOp[s.op] = append(byOp[s.op], s.micros)
+			}
+			if s.nonDurable {
+				res.NonDurableAcks++
 			}
 			res.PerOp[s.op] = st
 			res.TotalOps++
@@ -382,7 +400,7 @@ type LoadFleet struct {
 	// The pieces a live join needs to assemble a fresh node exactly the
 	// way BuildLoadFleet assembled the originals.
 	manifestPath string
-	shardServer  func(shard, replica int, path string, db *core.DB, meta *snapshot.Meta) server.Options
+	nodeServer   func(shard, replica int) (server.Options, error)
 	wrap         func(shard, replica int, b router.Backend) router.Backend
 }
 
@@ -440,14 +458,10 @@ type LoadFleetOptions struct {
 	// DisableHedging turns off hedged scatter legs — the control arm of
 	// the hedging A/B.
 	DisableHedging bool
-	// HedgeDelay fixes the hedge delay (0 = adaptive p95).
-	HedgeDelay time.Duration
-	// SlowReplica injects a fixed per-request delay in front of one
-	// backend — the LAST replica of shard 0 — so a degraded replica's
-	// tail (and hedging's answer to it) is reproducible on demand.
-	SlowReplica time.Duration
-	// WrapBackend, when non-nil, wraps each node's backend after any
-	// SlowReplica delay — the kill-switch seam the replica smoke uses.
+	// WrapBackend, when non-nil, wraps each node's backend (joiners
+	// included) before the router sees it — the fault-injection seam
+	// (router.DelayBackend, kill switches) of the scenario table and the
+	// replication experiment's slow-replica arm.
 	WrapBackend func(shard, replica int, b router.Backend) router.Backend
 	// Trace, when non-nil, builds the fleet with request tracing: one
 	// shared collector wired into the router and every shard server. The
@@ -510,7 +524,7 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 	for s := range fl.JournalDirs {
 		fl.JournalDirs[s] = make([]string, counts[s])
 	}
-	fl.shardServer = func(shard, replica int, path string, sdb *core.DB, meta *snapshot.Meta) server.Options {
+	fl.nodeServer = func(shard, replica int) (server.Options, error) {
 		// Replica 0 keeps the pre-replication journal dir name so
 		// single-replica artifacts stay where tooling expects them.
 		name := fmt.Sprintf("shard-%d.journal", shard)
@@ -519,13 +533,13 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 		}
 		jdir := filepath.Join(dir, name)
 		if err := os.MkdirAll(jdir, 0o755); err != nil {
-			return server.Options{}
+			return server.Options{}, fmt.Errorf("load fleet: shard %d replica %d journal: %w", shard, replica, err)
 		}
-		j, jerr := journal.Open(jdir, journal.Options{
+		j, err := journal.Open(jdir, journal.Options{
 			SyncObserver: server.FsyncObserver(reg),
 		})
-		if jerr != nil {
-			return server.Options{}
+		if err != nil {
+			return server.Options{}, fmt.Errorf("load fleet: shard %d replica %d journal: %w", shard, replica, err)
 		}
 		for len(fl.JournalDirs[shard]) <= replica {
 			fl.JournalDirs[shard] = append(fl.JournalDirs[shard], "")
@@ -541,29 +555,39 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 				JournalLastSeq: j.NextSeq() - 1,
 				AppendBatch:    server.JournalAppendBatch(j),
 			},
-		}
+		}, nil
 	}
 	fl.wrap = func(shard, replica int, b router.Backend) router.Backend {
-		if opts.SlowReplica > 0 && shard == 0 && replica == counts[0]-1 {
-			b = &router.DelayBackend{Inner: b, Delay: opts.SlowReplica}
-		}
 		if opts.WrapBackend != nil {
 			b = opts.WrapBackend(shard, replica, b)
 		}
 		return b
 	}
+	// router.FromManifest's ShardServer hook cannot fail, so the first
+	// node error is held here and returned once the router is assembled:
+	// a node without its journal must fail the build, not serve without
+	// an ingest path.
+	var nodeErr error
 	rt, m, err := router.FromManifest(manifestPath, router.ManifestOptions{
 		Options: router.Options{
 			Metrics:        reg,
 			Trace:          tracer,
 			DisableHedging: opts.DisableHedging,
-			HedgeDelay:     opts.HedgeDelay,
 		},
-		ShardServer: fl.shardServer,
+		ShardServer: func(shard, replica int, _ string, _ *core.DB, _ *snapshot.Meta) server.Options {
+			srvOpts, err := fl.nodeServer(shard, replica)
+			if err != nil && nodeErr == nil {
+				nodeErr = err
+			}
+			return srvOpts
+		},
 		WrapBackend: fl.wrap,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("load fleet: %w", err)
+	}
+	if nodeErr != nil {
+		return nil, nodeErr
 	}
 	fl.Router = rt
 	fl.Handler = router.NewHandler(rt)
@@ -581,14 +605,14 @@ func (fl *LoadFleet) NewJoinerBackend(shard int) (router.Backend, error) {
 	if shard < 0 || shard >= len(fl.Manifest.Shard) {
 		return nil, fmt.Errorf("load fleet: joiner for shard %d of %d", shard, len(fl.Manifest.Shard))
 	}
-	db, meta, err := snapshot.LoadVerifiedShard(fl.manifestPath, fl.Manifest, shard)
+	db, _, err := snapshot.LoadVerifiedShard(fl.manifestPath, fl.Manifest, shard)
 	if err != nil {
 		return nil, fmt.Errorf("load fleet: joiner: %w", err)
 	}
 	replica := len(fl.JournalDirs[shard])
-	srvOpts := fl.shardServer(shard, replica, snapshot.ShardPath(fl.manifestPath, fl.Manifest.Shard[shard]), db, meta)
-	if srvOpts.Ingest == nil {
-		return nil, fmt.Errorf("load fleet: joiner for shard %d could not open a journal", shard)
+	srvOpts, err := fl.nodeServer(shard, replica)
+	if err != nil {
+		return nil, err
 	}
 	name := fmt.Sprintf("shard%d.r%d", shard, replica)
 	return fl.wrap(shard, replica, router.NewLocalBackend(name, db, srvOpts)), nil
@@ -601,8 +625,8 @@ func FormatLoad(r LoadResult) string {
 		fmt.Fprintf(&b, "  FAILED: %s\n", r.Err)
 		return b.String()
 	}
-	fmt.Fprintf(&b, "  %d workers, %.1fs: %d ops (%.0f ops/s), %d errors\n",
-		r.Concurrency, r.Seconds, r.TotalOps, r.OpsPerSecond, r.TotalErrors)
+	fmt.Fprintf(&b, "  %d workers, %.1fs: %d ops (%.0f ops/s), %d errors, %d non-durable write acks\n",
+		r.Concurrency, r.Seconds, r.TotalOps, r.OpsPerSecond, r.TotalErrors, r.NonDurableAcks)
 	for _, op := range []string{"query", "topk", "interpret", "reviews"} {
 		st, ok := r.PerOp[op]
 		if !ok || st.Ops == 0 {

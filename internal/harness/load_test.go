@@ -8,6 +8,8 @@ package harness
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -115,6 +117,23 @@ func TestRunLoadMixJournaledFleet(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("registry text missing %s after load run", want)
 		}
+	}
+}
+
+// TestBuildLoadFleetFailsOnNodeJournalError squats a plain file where
+// shard 0's journal directory goes: the build must fail, not assemble a
+// fleet whose node serves without a journal or an ingest path.
+func TestBuildLoadFleetFailsOnNodeJournalError(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "shard-0.journal"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fl, err := BuildLoadFleet(dir, LoadFleetOptions{Shards: 2, Seed: 3})
+	if err == nil {
+		t.Fatalf("fleet built with a squatted journal directory; JournalDirs=%v", fl.JournalDirs)
+	}
+	if !strings.Contains(err.Error(), "shard 0 replica 0 journal") {
+		t.Errorf("error %q does not name the failed node", err)
 	}
 }
 

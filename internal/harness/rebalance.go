@@ -19,7 +19,7 @@ import (
 // per-shard snapshots plus the checksummed manifest into dir (file names
 // "<base>-shardK.snap", "<base>.manifest.json"), returning the manifest
 // path. It is the one fleet-layout writer shared by the experiments and
-// the smoke drills.
+// the scenario table.
 func WriteFleet(db *core.DB, dir, base string, n int, seed int64) (string, error) {
 	return WriteReplicatedFleet(db, dir, base, n, 1, seed)
 }

@@ -175,7 +175,12 @@ func RunReplication(ctx context.Context, seed int64) ReplicationResult {
 			Replicas:       2,
 			Seed:           seed,
 			DisableHedging: !hedge,
-			SlowReplica:    replBenchSlow,
+			WrapBackend: func(shard, replica int, b router.Backend) router.Backend {
+				if shard == 0 && replica == 1 { // the last replica of shard 0
+					return &router.DelayBackend{Inner: b, Delay: replBenchSlow}
+				}
+				return b
+			},
 		})
 		if err != nil {
 			return arm, nil, err

@@ -31,7 +31,7 @@ type ManifestOptions struct {
 	ShardServer func(shard, replica int, path string, db *core.DB, meta *snapshot.Meta) server.Options
 	// WrapBackend, when non-nil, wraps each node's backend before the
 	// router sees it — the fault-injection seam (DelayBackend, kill
-	// switches) the load harness and the replica smoke use.
+	// switches) the load harness and the scenario table use.
 	WrapBackend func(shard, replica int, b Backend) Backend
 }
 
@@ -39,10 +39,10 @@ type ManifestOptions struct {
 // manifest: every shard snapshot is digest-verified against the manifest,
 // loaded (once per replica), checked for the shard identity it claims,
 // and served through an in-process backend behind a router. This is the
-// `opinedbd -router` (no -router-backends) path and the builder's
-// -verify path. Backend names are "shard<i>" for single-replica fleets
-// (unchanged from the pre-replication router) and "shard<i>.r<j>"
-// otherwise.
+// `opinedbd -router` (no -router-backends) path and the shard
+// scenario's fleet check. Backend names are "shard<i>" for
+// single-replica fleets (unchanged from the pre-replication router) and
+// "shard<i>.r<j>" otherwise.
 func FromManifest(manifestPath string, opts ManifestOptions) (*Router, *snapshot.Manifest, error) {
 	m, err := snapshot.LoadManifest(manifestPath)
 	if err != nil {
