@@ -13,7 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -87,11 +87,11 @@ func main() {
 		var err error
 		hotelDB, err = harness.BuildDB(hotels, cfg, taggedN, labelsN)
 		if err != nil {
-			log.Fatalf("hotel build: %v", err)
+			fatal("hotel build", "err", err)
 		}
 		restDB, err = harness.BuildDB(restaurants, cfg, taggedN, labelsN)
 		if err != nil {
-			log.Fatalf("restaurant build: %v", err)
+			fatal("restaurant build", "err", err)
 		}
 		fmt.Printf("  built in %.1fs (hotel: %d extractions, restaurant: %d)\n\n",
 			time.Since(buildStart).Seconds(), len(hotelDB.Extractions), len(restDB.Extractions))
@@ -144,12 +144,12 @@ func main() {
 		fmt.Println(harness.FormatRebalance(harness.RunRebalance(context.Background(), *seed+900)))
 	}
 	if run("load") {
-		fmt.Println("running load (mixed-traffic SLOs + hot-path A/Bs)...")
+		fmt.Println("running load (mixed-traffic SLOs + prefix-hash chain A/B)...")
 		loadRes := harness.RunLoad(context.Background(), *seed+1000)
 		fmt.Println(harness.FormatLoadBench(loadRes))
 		if data, err := json.MarshalIndent(loadRes, "", "  "); err == nil {
 			if err := os.WriteFile("BENCH_load.json", data, 0o644); err != nil {
-				log.Printf("BENCH_load.json: %v", err)
+				slog.Error("write result", "path", "BENCH_load.json", "err", err)
 			} else {
 				fmt.Println("wrote BENCH_load.json")
 			}
@@ -164,7 +164,7 @@ func main() {
 		fmt.Println(harness.FormatReplication(replRes))
 		if data, err := json.MarshalIndent(replRes, "", "  "); err == nil {
 			if err := os.WriteFile("BENCH_replication.json", data, 0o644); err != nil {
-				log.Printf("BENCH_replication.json: %v", err)
+				slog.Error("write result", "path", "BENCH_replication.json", "err", err)
 			} else {
 				fmt.Println("wrote BENCH_replication.json")
 			}
@@ -177,7 +177,7 @@ func main() {
 		fmt.Println(harness.FormatReplicaOps(opsRes))
 		if data, err := json.MarshalIndent(opsRes, "", "  "); err == nil {
 			if err := os.WriteFile("BENCH_replicaops.json", data, 0o644); err != nil {
-				log.Printf("BENCH_replicaops.json: %v", err)
+				slog.Error("write result", "path", "BENCH_replicaops.json", "err", err)
 			} else {
 				fmt.Println("wrote BENCH_replicaops.json")
 			}
@@ -186,6 +186,12 @@ func main() {
 
 	fmt.Printf("total time: %.1fs\n", time.Since(start).Seconds())
 	os.Exit(0)
+}
+
+// fatal logs an error through the structured logger and exits.
+func fatal(msg string, args ...any) {
+	slog.Error(msg, args...)
+	os.Exit(1)
 }
 
 // compareBaseline reads a committed load baseline and reports, warn-only,
@@ -197,12 +203,12 @@ func main() {
 func compareBaseline(path string, cur harness.LoadBenchResult) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		log.Printf("slo-check: baseline %s: %v", path, err)
+		slog.Error("slo-check: read baseline", "path", path, "err", err)
 		return
 	}
 	var base harness.LoadBenchResult
 	if err := json.Unmarshal(data, &base); err != nil {
-		log.Printf("slo-check: baseline %s: %v", path, err)
+		slog.Error("slo-check: parse baseline", "path", path, "err", err)
 		return
 	}
 	fmt.Printf("slo-check: comparing against %s\n", path)

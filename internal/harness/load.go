@@ -7,9 +7,8 @@ package harness
 // the sample counts here are small enough to sort). The same runner
 // backs `opinedbload` (real TCP against a live fleet), the scenario
 // table's load phases (scenario.go), and benchall's "load" experiment
-// (in-process handler, plus the two hot-path A/Bs: /topk fragment
-// memoization on vs off, and the incremental journal prefix-hash chain
-// vs the per-probe segment rescan it replaced).
+// (in-process handler, plus an A/B of the incremental journal
+// prefix-hash chain vs the per-probe segment rescan it replaced).
 
 import (
 	"bytes"
@@ -452,9 +451,6 @@ type LoadFleetOptions struct {
 	ReplicasPerRange []int
 	// Seed drives corpus generation and the build.
 	Seed int64
-	// DisableTopKMemo turns off per-shard /topk fragment memoization —
-	// the control arm of the memoization A/B.
-	DisableTopKMemo bool
 	// DisableHedging turns off hedged scatter legs — the control arm of
 	// the hedging A/B.
 	DisableHedging bool
@@ -546,9 +542,8 @@ func BuildLoadFleet(dir string, opts LoadFleetOptions) (*LoadFleet, error) {
 		}
 		fl.JournalDirs[shard][replica] = jdir
 		return server.Options{
-			Metrics:         reg,
-			Trace:           tracer,
-			DisableTopKMemo: opts.DisableTopKMemo,
+			Metrics: reg,
+			Trace:   tracer,
 			Ingest: &server.IngestOptions{
 				AcceptUnowned:  true,
 				JournalDir:     jdir,

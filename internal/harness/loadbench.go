@@ -1,40 +1,19 @@
 package harness
 
 // The benchall "load" experiment: one short mixed-traffic run against a
-// journaled in-process fleet for SLO percentiles, plus targeted A/Bs of
-// the two hot-path wins this repo carries — per-shard /topk fragment
-// memoization, and the incremental journal prefix-hash chain that spares
-// fleet.Repair its per-probe segment rescans.
+// journaled in-process fleet for SLO percentiles, plus a targeted A/B of
+// the incremental journal prefix-hash chain that spares fleet.Repair its
+// per-probe segment rescans.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/url"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/journal"
-	"repro/internal/server"
 )
-
-// TopKMemoBench compares repeated /topk serving with fragment
-// memoization on vs off over byte-identical request streams.
-type TopKMemoBench struct {
-	Requests      int     `json:"requests"`
-	Predicates    int     `json:"predicates"`
-	MemoOnMicros  float64 `json:"memo_on_micros_per_req"`
-	MemoOffMicros float64 `json:"memo_off_micros_per_req"`
-	Speedup       float64 `json:"speedup"`
-	// BytesIdentical confirms both arms returned byte-identical bodies
-	// for every predicate — memoization must not change answers.
-	BytesIdentical bool `json:"bytes_identical"`
-}
 
 // PrefixHashBench compares repair-style prefix-hash probes served from
 // the in-memory chain vs the on-disk segment rescan it replaced.
@@ -52,13 +31,12 @@ type PrefixHashBench struct {
 // LoadBenchResult is the full "load" experiment.
 type LoadBenchResult struct {
 	Mixed      LoadResult      `json:"mixed"`
-	TopKMemo   TopKMemoBench   `json:"topk_memo"`
 	PrefixHash PrefixHashBench `json:"prefix_hash"`
 	Err        string          `json:"error,omitempty"`
 }
 
 // RunLoad builds a journaled 4-shard fleet, drives it with the default
-// mixed workload, then measures the two hot-path wins in isolation.
+// mixed workload, then measures the prefix-hash chain in isolation.
 func RunLoad(ctx context.Context, seed int64) LoadBenchResult {
 	var res LoadBenchResult
 	dir, err := os.MkdirTemp("", "opinedb-load-*")
@@ -80,13 +58,6 @@ func RunLoad(ctx context.Context, seed int64) LoadBenchResult {
 		Seed:        seed,
 	})
 
-	memo, err := benchTopKMemo(ctx, dir, seed)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	res.TopKMemo = memo
-
 	ph, err := benchPrefixHash(dir, seed)
 	if err != nil {
 		res.Err = err.Error()
@@ -94,107 +65,6 @@ func RunLoad(ctx context.Context, seed int64) LoadBenchResult {
 	}
 	res.PrefixHash = ph
 	return res
-}
-
-// benchTopKMemo replays the same /topk request stream against one
-// shard server with fragment memoization on and one with it off —
-// the memo is a per-shard win, so the bench hits the shard surface
-// directly rather than burying the delta under router scatter
-// overhead. Bodies are cross-checked byte-for-byte after zeroing the
-// elapsed_ms wall-clock field (the one legitimately nondeterministic
-// byte range in the payload).
-func benchTopKMemo(ctx context.Context, dir string, seed int64) (TopKMemoBench, error) {
-	var b TopKMemoBench
-	genCfg := corpus.SmallConfig()
-	genCfg.Seed = seed
-	d := corpus.GenerateHotels(genCfg)
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	db, err := BuildDB(d, cfg, 400, 300)
-	if err != nil {
-		return b, err
-	}
-	memoOn := server.New(db, server.Options{})
-	control := server.New(db, server.Options{DisableTopKMemo: true})
-
-	var preds []string
-	for _, p := range d.Predicates {
-		if p.Kind == corpus.KindOutOfSchema {
-			continue
-		}
-		preds = append(preds, p.Text)
-		if len(preds) == 8 {
-			break
-		}
-	}
-	const rounds = 40
-	b.Predicates = len(preds)
-	b.Requests = rounds * len(preds)
-
-	run := func(h http.Handler) (time.Duration, [][]byte, error) {
-		do := HandlerLoadTarget(h)
-		var bodies [][]byte
-		// Warm-up round: populates the memo (treatment) and warms both
-		// arms so the timed rounds compare steady state.
-		for _, p := range preds {
-			target := "/topk?predicate=" + url.QueryEscape(p) + "&k=10"
-			status, body, err := do(ctx, http.MethodGet, target, nil)
-			if err != nil {
-				return 0, nil, err
-			}
-			if status != http.StatusOK {
-				return 0, nil, fmt.Errorf("topk bench: status %d: %s", status, body)
-			}
-			bodies = append(bodies, body)
-		}
-		t0 := time.Now()
-		for r := 0; r < rounds; r++ {
-			for _, p := range preds {
-				target := "/topk?predicate=" + url.QueryEscape(p) + "&k=10"
-				if status, body, err := do(ctx, http.MethodGet, target, nil); err != nil {
-					return 0, nil, err
-				} else if status != http.StatusOK {
-					return 0, nil, fmt.Errorf("topk bench: status %d: %s", status, body)
-				}
-			}
-		}
-		return time.Since(t0), bodies, nil
-	}
-
-	onDur, onBodies, err := run(memoOn)
-	if err != nil {
-		return b, err
-	}
-	offDur, offBodies, err := run(control)
-	if err != nil {
-		return b, err
-	}
-	b.BytesIdentical = len(onBodies) == len(offBodies)
-	for i := 0; b.BytesIdentical && i < len(onBodies); i++ {
-		b.BytesIdentical = bytes.Equal(stripElapsed(onBodies[i]), stripElapsed(offBodies[i]))
-	}
-	b.MemoOnMicros = float64(onDur.Microseconds()) / float64(b.Requests)
-	b.MemoOffMicros = float64(offDur.Microseconds()) / float64(b.Requests)
-	if b.MemoOnMicros > 0 {
-		b.Speedup = b.MemoOffMicros / b.MemoOnMicros
-	}
-	return b, nil
-}
-
-// stripElapsed zeroes the elapsed_ms wall-clock field so two /topk
-// payloads can be compared byte-for-byte. Unparseable bodies come back
-// unchanged (the comparison then fails loudly, which is correct).
-func stripElapsed(body []byte) []byte {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(body, &m); err != nil {
-		return body
-	}
-	m["elapsed_ms"] = json.RawMessage("0")
-	out, err := json.Marshal(m)
-	if err != nil {
-		return body
-	}
-	return out
 }
 
 // benchPrefixHash writes a synthetic journal, then answers the same
@@ -275,10 +145,6 @@ func FormatLoadBench(r LoadBenchResult) string {
 	}
 	b.WriteString("  mixed traffic (4 journaled shards, default mix):\n")
 	b.WriteString(FormatLoad(r.Mixed))
-	fmt.Fprintf(&b, "  topk memoization: %d repeated requests over %d predicates\n",
-		r.TopKMemo.Requests, r.TopKMemo.Predicates)
-	fmt.Fprintf(&b, "    memo on %7.0f µs/req   memo off %7.0f µs/req   speedup %.2fx   bytes identical: %v\n",
-		r.TopKMemo.MemoOnMicros, r.TopKMemo.MemoOffMicros, r.TopKMemo.Speedup, r.TopKMemo.BytesIdentical)
 	fmt.Fprintf(&b, "  prefix-hash probes: %d probes over a %d-record journal\n",
 		r.PrefixHash.Probes, r.PrefixHash.JournalRecords)
 	fmt.Fprintf(&b, "    chain %7.2f µs/probe   rescan %7.2f µs/probe   speedup %.1fx   hashes match: %v\n",

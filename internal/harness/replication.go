@@ -131,9 +131,10 @@ func RunReplication(ctx context.Context, seed int64) ReplicationResult {
 			res.Err = err.Error()
 			return res
 		}
-		// A short discarded pass first: it warms the per-shard memo and lets
-		// the freshly built fleet's allocation storm settle, so the measured
-		// window sees steady-state pacing rather than cold-start stalls.
+		// A short discarded pass first: it warms core's TA degree-list
+		// caches and lets the freshly built fleet's allocation storm
+		// settle, so the measured window sees steady-state pacing rather
+		// than cold-start stalls.
 		RunLoadMix(ctx, HandlerLoadTarget(fl.Handler), fl.Dataset, LoadOptions{
 			Mix:         LoadMix{TopK: 1},
 			Concurrency: 8,

@@ -1,10 +1,9 @@
 // Package lru is a small generic least-recently-used cache with
 // deterministic eviction: when the cache is at capacity, Put evicts
 // exactly the entry that was touched longest ago. It is deliberately
-// not thread-safe — both call sites (the router's interpret memo and
-// the shard server's topk fragment memo) already serialize access under
-// their own mutexes, and pushing locking down here would just double
-// the lock traffic.
+// not thread-safe — its caller (the router's interpret memo) already
+// serializes access under its own mutex, and pushing locking down here
+// would just double the lock traffic.
 package lru
 
 import "container/list"

@@ -272,8 +272,7 @@ func (s *Server) commitBatch(ctx context.Context, batch []*commitRequest) {
 
 	// Fold in sequence order under the write lock. A fold error cannot
 	// un-journal the delta — the next load replays it — so the failure
-	// is surfaced (500) and the rest of the batch still folds; memoized
-	// fragments are invalidated either way.
+	// is surfaced (500) and the rest of the batch still folds.
 	_, applySpan := s.opts.Trace.Start(ctx, "commit.apply")
 	applySpan.SetAttr("batch_size", strconv.Itoa(len(accepted)))
 	defer applySpan.End()
@@ -306,9 +305,6 @@ func (s *Server) commitBatch(ctx context.Context, batch []*commitRequest) {
 			Seq:         seq,
 			Durable:     durable,
 		}
-	}
-	if s.topkMemo != nil {
-		s.topkMemo.invalidate()
 	}
 	s.mu.Unlock()
 }

@@ -34,10 +34,6 @@ const (
 	// MetricFsyncSeconds: journal fsync latency (fed through
 	// journal.Options.SyncObserver; see FsyncObserver).
 	MetricFsyncSeconds = "opinedb_journal_fsync_seconds"
-	// MetricTopKMemoHits / MetricTopKMemoMisses: /topk fragment memo
-	// effectiveness.
-	MetricTopKMemoHits   = "opinedb_topk_memo_hits_total"
-	MetricTopKMemoMisses = "opinedb_topk_memo_misses_total"
 	// MetricAppliedSeq: journal sequence of the last applied review.
 	MetricAppliedSeq = "opinedb_journal_last_applied_seq"
 	// MetricCommitBatchSize: how many staged writes each group commit
@@ -59,6 +55,17 @@ const (
 	MetricPrefixChainDroppedTotal = "opinedb_prefix_chain_dropped_total"
 )
 
+// Names left over from the deleted per-shard /topk fragment memo. No
+// server code registers or reads them; they exist only because the
+// fleet benchmark (fleetbench/layers.go and fleetbench/replay.go)
+// compiles against them, and they go at the next change to the
+// benchmark.
+const (
+	MetricTopKMemoHits     = "opinedb_topk_memo_hits_total"
+	MetricTopKMemoMisses   = "opinedb_topk_memo_misses_total"
+	DefaultTopKMemoEntries = 4096
+)
+
 // metricEndpoints are the instrumented endpoint labels, fixed up front
 // so every scrape exposes the full set (zeroed, not absent).
 var metricEndpoints = []string{
@@ -76,8 +83,6 @@ type serverMetrics struct {
 	engineTopK     *obs.Histogram
 	apply          *obs.Histogram
 	journalAppend  *obs.Histogram
-	topkHits       *obs.Counter
-	topkMisses     *obs.Counter
 	appliedSeq     *obs.Gauge
 	commitBatch    *obs.Histogram
 	commitWait     *obs.Histogram
@@ -110,8 +115,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	m.engineTopK = stage("engine_topk")
 	m.apply = stage("apply")
 	m.journalAppend = stage("journal_append")
-	m.topkHits = reg.Counter(MetricTopKMemoHits, "Topk fragment memo hits.")
-	m.topkMisses = reg.Counter(MetricTopKMemoMisses, "Topk fragment memo misses.")
 	m.appliedSeq = reg.Gauge(MetricAppliedSeq,
 		"Journal sequence of the last review applied to the serving database.")
 	m.commitBatch = reg.Histogram(MetricCommitBatchSize,

@@ -1,32 +1,27 @@
 package server_test
 
 // Tests of the serving-side observability surface: the /metrics
-// exposition, the /topk fragment memo (hit/miss/invalidate and
-// byte-identical answers), and the incremental /journal/status path
-// agreeing with the on-disk scans it replaced.
+// exposition, and the incremental /journal/status path agreeing with the
+// on-disk scans it replaced.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/journal"
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/snapshot"
 )
 
 // metricsServer clones the shared fixture (so writes stay local to the
-// test) and serves it with volatile ingestion and a caller-owned
-// registry.
-func metricsServer(t *testing.T) (*core.DB, *obs.Registry, *httptest.Server) {
+// test) and serves it with volatile ingestion.
+func metricsServer(t *testing.T) (*core.DB, *httptest.Server) {
 	t.Helper()
 	_, db, _ := testServer(t)
 	snap := filepath.Join(t.TempDir(), "clone.snap")
@@ -37,13 +32,9 @@ func metricsServer(t *testing.T) (*core.DB, *obs.Registry, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	srv := httptest.NewServer(server.New(clone, server.Options{
-		Ingest:  &server.IngestOptions{},
-		Metrics: reg,
-	}))
+	srv := httptest.NewServer(server.New(clone, server.Options{Ingest: &server.IngestOptions{}}))
 	t.Cleanup(srv.Close)
-	return clone, reg, srv
+	return clone, srv
 }
 
 // scrape fetches /metrics and returns the exposition body.
@@ -68,7 +59,7 @@ func scrape(t *testing.T, base string) string {
 }
 
 func TestMetricsEndpointServesInstrumentedFamilies(t *testing.T) {
-	db, _, srv := metricsServer(t)
+	db, srv := metricsServer(t)
 	// Drive each instrumented path once.
 	getJSON(t, srv.URL+"/query?sql="+`select+*+from+Entities+where+"clean+rooms"+limit+3`, http.StatusOK, nil)
 	getJSON(t, srv.URL+"/topk?predicate=clean+rooms&k=3", http.StatusOK, nil)
@@ -85,77 +76,11 @@ func TestMetricsEndpointServesInstrumentedFamilies(t *testing.T) {
 		`opinedb_stage_seconds_bucket{le="+Inf",stage="engine_query"}`,
 		`opinedb_stage_seconds_bucket{le="+Inf",stage="engine_topk"}`,
 		`opinedb_stage_seconds_bucket{le="+Inf",stage="apply"}`,
-		"opinedb_topk_memo_misses_total 1",
 		"opinedb_http_requests_total{endpoint=\"query\"} 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-}
-
-func TestTopKMemoHitMissInvalidate(t *testing.T) {
-	db, reg, srv := metricsServer(t)
-	url := srv.URL + "/topk?predicate=clean+rooms&predicate=friendly+staff&k=5"
-
-	fetch := func(wantMemo string) server.TopKResponse {
-		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		if got := resp.Header.Get("X-Topk-Memo"); got != wantMemo {
-			t.Fatalf("X-Topk-Memo = %q, want %q", got, wantMemo)
-		}
-		var tr server.TopKResponse
-		if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-
-	first := fetch("miss")
-	second := fetch("hit")
-	// The memoized answer must be identical, ElapsedMs aside.
-	first.ElapsedMs, second.ElapsedMs = 0, 0
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("memo hit diverged:\nfirst  %+v\nsecond %+v", first, second)
-	}
-	if hits := reg.Counter(server.MetricTopKMemoHits, "").Value(); hits != 1 {
-		t.Fatalf("memo hits = %d, want 1", hits)
-	}
-
-	// Any applied write — including one for an entity this request never
-	// ranked — drops every fragment.
-	postReview(t, srv.URL, server.ReviewRequest{
-		ID: "m-inv", EntityID: db.EntityIDs()[1], Text: "dirty rooms, rude staff",
-	})
-	third := fetch("miss")
-	if misses := reg.Counter(server.MetricTopKMemoMisses, "").Value(); misses != 2 {
-		t.Fatalf("memo misses = %d, want 2", misses)
-	}
-	// After the write the recomputed fragment reflects the new state —
-	// rows come back (the predicate set still ranks) but via the engine.
-	if len(third.Rows) == 0 {
-		t.Fatal("post-invalidation topk returned no rows")
-	}
-}
-
-func TestTopKMemoDisabled(t *testing.T) {
-	_, db, _ := testServer(t)
-	srv := httptest.NewServer(server.New(db, server.Options{DisableTopKMemo: true}))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/topk?predicate=clean+rooms&k=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if h := resp.Header.Get("X-Topk-Memo"); h != "" {
-		t.Fatalf("X-Topk-Memo = %q with the memo disabled", h)
 	}
 }
 

@@ -129,11 +129,6 @@ type Options struct {
 	// fleet passes one shared registry to every shard and the router so
 	// one scrape sees the whole deployment.
 	Metrics *obs.Registry
-	// DisableTopKMemo turns off the per-shard /topk fragment memo (see
-	// topkmemo.go). The memo is on by default: fragments are partition-
-	// stable between writes and every applied write invalidates wholesale,
-	// so answers stay byte-identical either way.
-	DisableTopKMemo bool
 	// Trace, when non-nil, records a span per request (continuing a trace
 	// propagated in X-Opinedb-Trace/X-Opinedb-Span headers) plus the
 	// group-commit pipeline stages, and serves GET /debug/traces. nil
@@ -146,10 +141,13 @@ type Options struct {
 //
 // Locking: the engine's read path needs no coordination, but live
 // ingestion mutates the database, so the server holds a stop-the-world
-// RWMutex — every read handler runs under RLock and the /reviews writer
-// takes the exclusive lock for its append-then-apply critical section.
-// With ingestion disabled the RLocks are uncontended and the server
-// behaves exactly as the lock-free reader it used to be.
+// RWMutex — every read handler runs under RLock. A /reviews write takes
+// no lock while it prepares the review, stages it, and (as the group-
+// commit leader) journals and fsyncs the batch; only the fold in
+// commitBatch, which applies the batch to the database, takes the
+// exclusive lock (see groupcommit.go). With ingestion disabled the
+// RLocks are uncontended and the server behaves exactly as the
+// lock-free reader it used to be.
 type Server struct {
 	db      *core.DB
 	opts    Options
@@ -163,9 +161,6 @@ type Server struct {
 	appliedSeq uint64
 	// metrics backs GET /metrics; always non-nil after New.
 	metrics *serverMetrics
-	// topkMemo caches partition-stable /topk fragments; nil when
-	// Options.DisableTopKMemo is set.
-	topkMemo *topkMemo
 	// ph is the journal's in-memory prefix-hash chain, built lazily on
 	// the first /journal/status or journaled append and extended under
 	// the write lock. It makes every prefix-hash probe O(1) instead of a
@@ -196,9 +191,6 @@ func New(db *core.DB, opts Options) *Server {
 	}
 	s.metrics = newServerMetrics(opts.Metrics)
 	s.metrics.appliedSeq.Set(float64(s.appliedSeq))
-	if !opts.DisableTopKMemo {
-		s.topkMemo = newTopKMemo(s.metrics.topkHits, s.metrics.topkMisses)
-	}
 	s.mux.HandleFunc("/healthz", s.timed("healthz", s.read(get(s.handleHealth))))
 	s.mux.HandleFunc("/schema", s.timed("schema", s.read(get(s.handleSchema))))
 	s.mux.HandleFunc("/query", s.timed("query", s.read(s.handleQuery)))
@@ -667,30 +659,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	var rows []core.ResultRow
-	var stats core.TopKStats
-	var key string
-	hit := false
-	if s.topkMemo != nil {
-		key = topkKey(preds, k)
-		if f, ok := s.topkMemo.get(key); ok {
-			rows, stats, hit = f.rows, f.stats, true
-			w.Header().Set("X-Topk-Memo", "hit")
-		} else {
-			w.Header().Set("X-Topk-Memo", "miss")
-		}
-	}
-	if !hit {
-		t0 := time.Now()
-		rows, stats, err = s.db.TopKThreshold(preds, k)
-		s.metrics.engineTopK.ObserveSince(t0)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "topk: %v", err)
-			return
-		}
-		if s.topkMemo != nil {
-			s.topkMemo.put(key, topkFragment{rows: rows, stats: stats})
-		}
+	rows, stats, err := s.db.TopKThreshold(preds, k)
+	s.metrics.engineTopK.ObserveSince(start)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "topk: %v", err)
+		return
 	}
 	resp := TopKResponse{
 		Rows:           []RowJSON{},
